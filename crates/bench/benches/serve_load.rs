@@ -170,10 +170,11 @@ fn open_loop(config: ServeConfig, rate: f64, total: usize) -> OpenLoopResult {
 }
 
 /// Coalescing window of the batched configuration (override with
-/// PCNN_BENCH_MAX_WAIT_US for tuning sweeps). With pipelined dispatch
-/// the window overlaps the in-flight batch's execution, so a window on
-/// the order of the batch service time fills batches without idling
-/// the engine.
+/// PCNN_BENCH_MAX_WAIT_US for tuning sweeps). The batcher holds a batch
+/// open only while another batch of its shard is in flight (an idle
+/// engine dispatches at once), so the window overlaps the in-flight
+/// batch's execution: a window on the order of the batch service time
+/// fills batches without idling the engine.
 fn batched_max_wait() -> Duration {
     Duration::from_micros(
         std::env::var("PCNN_BENCH_MAX_WAIT_US")

@@ -7,16 +7,22 @@
 //! each dispatching into its own `Engine` shard with its own in-flight
 //! cap, buffer pool, and [`ShardMetrics`].
 //!
-//! The coalescing rule is the classic serving trade-off dial: after the
-//! first request of a batch arrives, the batcher keeps popping until it
-//! holds `max_batch` requests **or** the first request's coalescing
+//! The coalescing rule is **work-conserving**: waiting for company only
+//! pays while the engine is busy. Before every blocking pop the batcher
+//! asks whether the shared queue is empty **and** no other batch of this
+//! shard is in flight; when both hold, holding the batch open would only
+//! idle the engine, so the batch closes and dispatches at once (a lone
+//! request on an idle server pays no coalescing delay at all).
+//! Otherwise the classic dial applies: the batcher keeps popping until
+//! it holds `max_batch` requests **or** the first request's coalescing
 //! budget (`max_wait` from its **admission**, not from the moment the
-//! batcher got around to it) runs out, whichever comes first. Anchoring
-//! the deadline at admission is what makes `max_wait` a real bound on
-//! added latency: when the engine is saturated, the batcher blocks in
-//! [`InFlight::acquire`] first, and a request that already burned its
-//! budget waiting there dispatches with whatever is queued instead of
-//! waiting `max_wait` again. `max_wait == 0` degenerates to
+//! batcher got around to it) runs out, whichever comes first — so
+//! `max_wait` is the longest a batch is held while the engine is busy.
+//! Anchoring the deadline at admission is what makes `max_wait` a real
+//! bound on added latency: when the engine is saturated, the batcher
+//! blocks in [`InFlight::acquire`] first, and a request that already
+//! burned its budget waiting there dispatches with whatever is queued
+//! instead of waiting `max_wait` again. `max_wait == 0` degenerates to
 //! batch-as-available (never waits, still coalesces whatever is already
 //! queued); `max_batch == 1` degenerates to per-request dispatch — the
 //! baseline the serving bench compares against.
@@ -201,6 +207,12 @@ impl InFlight {
             on_wake();
         }
         *n += 1;
+    }
+
+    /// Batches currently in flight, including one the caller has
+    /// already acquired a slot for.
+    fn count(&self) -> usize {
+        *self.count.lock().expect("inflight poisoned")
     }
 
     fn release(&self) {
@@ -418,6 +430,8 @@ pub(crate) fn run_batcher(ctx: BatcherContext) {
         });
         ctx.slot.heartbeat.beat(ctx.metrics.now_ns());
         ctx.shard.inflight_batches.inc();
+        // The engine is idle when the only in-flight batch is the one
+        // this batcher just claimed a slot for.
         let batch = coalesce(
             &ctx.queue,
             first,
@@ -426,6 +440,7 @@ pub(crate) fn run_batcher(ctx: BatcherContext) {
             ctx.max_wait,
             &ctx.recorder,
             &ctx.slot,
+            || inflight.count() <= 1,
         );
         ctx.metrics.queue_depth.set(ctx.queue.len() as u64);
         // Second screen, batch-wide: deadlines that expired *during*
@@ -443,9 +458,10 @@ pub(crate) fn run_batcher(ctx: BatcherContext) {
 }
 
 /// Builds one batch around `first`: pops shape-compatible requests until
-/// `max_batch` or the coalescing deadline, whichever comes first. Every
-/// popped request is registered in the shard's in-flight registry as it
-/// comes off the queue.
+/// `max_batch` or the coalescing deadline, whichever comes first — or,
+/// when `engine_idle()` holds and the queue is empty, closes the batch
+/// at once instead of blocking. Every popped request is registered in
+/// the shard's in-flight registry as it comes off the queue.
 ///
 /// The deadline anchors at the **first request's admission** (clamped to
 /// now, in case clocks ever hand us an admission instant ahead of this
@@ -461,14 +477,16 @@ fn coalesce(
     max_wait: Duration,
     recorder: &FlightRecorder,
     slot: &ShardSlot,
+    engine_idle: impl Fn() -> bool,
 ) -> Vec<Request> {
     let anchor = first.submitted.min(Instant::now());
     let deadline = anchor + max_wait;
     let mut batch = vec![first];
     while batch.len() < max_batch && carried.is_none() {
         let now = Instant::now();
-        if now >= deadline {
-            // Deadline passed: take only what is already queued.
+        // Deadline passed, or nothing else would run meanwhile: take
+        // only what is already queued.
+        if now >= deadline || engine_idle() {
             match queue.try_pop() {
                 Some(mut r) => {
                     register(slot, &r);
@@ -823,6 +841,16 @@ mod tests {
         ShardSlot::new(0, engine, &RetryPolicy::default())
     }
 
+    /// Engine-state predicates for `coalesce`: another batch of the
+    /// shard is in flight, or none is.
+    fn busy() -> bool {
+        false
+    }
+
+    fn idle() -> bool {
+        true
+    }
+
     fn request(shape: &[usize], submitted: Instant) -> Request {
         request_at(shape, submitted, Precision::F32)
     }
@@ -870,6 +898,7 @@ mod tests {
             max_wait,
             &recorder(),
             &slot(),
+            busy,
         );
         assert_eq!(batch.len(), 3, "queued requests still coalesce");
         assert!(carried.is_none());
@@ -912,17 +941,28 @@ mod tests {
             Duration::ZERO,
             &rec,
             &slot,
+            busy,
         );
         assert_eq!(batch.len(), 3, "same-precision requests coalesce");
         assert!(batch.iter().all(|r| r.precision == Precision::F32));
         let int8 = carried.take().expect("the int8 request carried over");
         assert_eq!(int8.precision, Precision::Int8);
-        let batch = coalesce(&queue, int8, &mut carried, 8, Duration::ZERO, &rec, &slot);
+        let batch = coalesce(
+            &queue,
+            int8,
+            &mut carried,
+            8,
+            Duration::ZERO,
+            &rec,
+            &slot,
+            busy,
+        );
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].precision, Precision::Int8);
     }
 
-    /// A fresh first request still gets its full coalescing window.
+    /// While the engine is busy, a fresh first request still gets its
+    /// full coalescing window.
     #[test]
     fn fresh_first_request_waits_out_its_budget() {
         let queue: BoundedQueue<Request> = BoundedQueue::new(16);
@@ -938,11 +978,74 @@ mod tests {
             max_wait,
             &recorder(),
             &slot(),
+            busy,
         );
         assert_eq!(batch.len(), 1);
         assert!(
             t0.elapsed() >= Duration::from_millis(25),
-            "an empty queue holds the batch open until the deadline"
+            "a busy engine and an empty queue hold the batch open until the deadline"
+        );
+    }
+
+    /// Work conservation: with the engine idle and nothing queued, a
+    /// fresh request dispatches at once instead of holding its batch
+    /// open for `max_wait`.
+    #[test]
+    fn idle_engine_dispatches_a_lone_request_at_once() {
+        let queue: BoundedQueue<Request> = BoundedQueue::new(16);
+        let max_wait = Duration::from_millis(200);
+        let mut carried = None;
+        let (rec, slot) = (recorder(), slot());
+        let t0 = Instant::now();
+        let batch = coalesce(
+            &queue,
+            request(&[1, 3, 8, 8], Instant::now()),
+            &mut carried,
+            8,
+            max_wait,
+            &rec,
+            &slot,
+            idle,
+        );
+        assert_eq!(batch.len(), 1);
+        assert!(carried.is_none());
+        assert!(
+            t0.elapsed() < Duration::from_millis(20),
+            "an idle engine must not wait out {max_wait:?} (took {:?})",
+            t0.elapsed()
+        );
+    }
+
+    /// An idle engine closes the batch only once the queue is empty:
+    /// requests already queued still coalesce into it.
+    #[test]
+    fn idle_engine_still_drains_queued_requests() {
+        let queue: BoundedQueue<Request> = BoundedQueue::new(16);
+        let max_wait = Duration::from_millis(200);
+        for _ in 0..3 {
+            assert!(queue
+                .try_push(request(&[1, 3, 8, 8], Instant::now()), Priority::Normal)
+                .is_ok());
+        }
+        let mut carried = None;
+        let (rec, slot) = (recorder(), slot());
+        let t0 = Instant::now();
+        let batch = coalesce(
+            &queue,
+            request(&[1, 3, 8, 8], Instant::now()),
+            &mut carried,
+            8,
+            max_wait,
+            &rec,
+            &slot,
+            idle,
+        );
+        assert_eq!(batch.len(), 4, "queued requests join the batch");
+        assert!(queue.is_empty());
+        assert!(
+            t0.elapsed() < Duration::from_millis(20),
+            "draining the queue must not wait out {max_wait:?} (took {:?})",
+            t0.elapsed()
         );
     }
 
@@ -972,6 +1075,7 @@ mod tests {
             Duration::from_millis(50),
             &rec,
             &slot,
+            busy,
         );
         assert_eq!(batch.len(), 3, "max_batch caps the greedy drain");
         assert!(carried.is_none(), "cap hit before the shape change");
@@ -983,6 +1087,7 @@ mod tests {
             Duration::ZERO,
             &rec,
             &slot,
+            busy,
         );
         assert_eq!(batch.len(), 1);
         assert!(
@@ -997,6 +1102,7 @@ mod tests {
             Duration::ZERO,
             &rec,
             &slot,
+            busy,
         );
         assert_eq!(batch[0].input.shape(), &[1, 3, 10, 10]);
     }
@@ -1022,6 +1128,7 @@ mod tests {
             Duration::ZERO,
             &recorder(),
             &slot,
+            busy,
         );
         assert_eq!(batch.len(), 4);
         // `first` is registered by the caller at its own pop; the three

@@ -24,11 +24,12 @@
 //!   graph, separate worker pools), each drained by its own batcher
 //!   thread popping the **same** queue — admission, priorities, and
 //!   backpressure are unchanged while dispatch parallelism multiplies.
-//! * **Dynamic micro-batching** ([`batcher`]): requests queued within a
-//!   `max_wait` window of the batch's first admission coalesce, up to
-//!   `max_batch`, into one stacked engine pass, which amortises
-//!   padded-plane construction, offset tables, and per-op dispatch
-//!   across the batch ([`pcnn_runtime::PatternConv::forward_batch`]).
+//! * **Dynamic micro-batching** ([`batcher`]): while the shard's engine
+//!   is busy, requests queued within a `max_wait` window of the batch's
+//!   first admission coalesce, up to `max_batch`, into one stacked
+//!   engine pass (an idle engine takes what is queued at once), which
+//!   amortises padded-plane construction, offset tables, and per-op
+//!   dispatch across the batch ([`pcnn_runtime::PatternConv::forward_batch`]).
 //! * **Handle-based async API** ([`ticket`]): [`Server::submit`] returns
 //!   a [`Ticket`] immediately; redeem with [`Ticket::wait`],
 //!   [`Ticket::try_wait`], or [`Ticket::wait_timeout`]. Threads and
@@ -135,9 +136,11 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Most requests coalesced into one engine pass.
     pub max_batch: usize,
-    /// Longest a request's batch is held open for coalescing, measured
-    /// from that request's **admission**. Zero means "dispatch whatever
-    /// is queued".
+    /// Longest a request's batch is held open for coalescing while the
+    /// shard's engine is busy, measured from that request's
+    /// **admission**. An idle engine (no other batch of the shard in
+    /// flight) with an empty queue never waits: the batch dispatches at
+    /// once. Zero means "dispatch whatever is queued".
     pub max_wait: Duration,
     /// When set, `submit` rejects inputs whose `C × H × W` differs
     /// (admission-time shape checking). When `None`, any single-image
@@ -209,8 +212,8 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// Capacity 256, batches of up to 8, 2 ms coalescing window, no
-    /// shape pinning, one shard, f32 execution.
+    /// Capacity 256, batches of up to 8, 2 ms coalescing window while
+    /// the engine is busy, no shape pinning, one shard, f32 execution.
     fn default() -> Self {
         ServeConfig {
             queue_capacity: 256,

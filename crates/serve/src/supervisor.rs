@@ -511,8 +511,10 @@ impl ShardSlot {
 
     /// Lifetime restarts of this shard.
     pub(crate) fn restart_count(&self) -> u64 {
-        // ordering: statistics read; readers tolerate lag.
-        self.restarts.load(Ordering::Relaxed)
+        // ordering: Acquire pairs with the Release bump in `respawn`, so
+        // a reader of the count also sees that restart's journal event
+        // and incident capture.
+        self.restarts.load(Ordering::Acquire)
     }
 
     /// The batcher generation currently authoritative for this shard.
@@ -762,10 +764,6 @@ impl Supervisor {
         slot.heartbeat.set_phase(PHASE_IDLE);
         let handle = (self.spawn)(Arc::clone(slot), generation);
         *slot.handle.lock().expect("slot handle poisoned") = Some(handle);
-        // ordering: statistics counter; the spawn above is the real
-        // publication of the restart.
-        slot.restarts.fetch_add(1, Ordering::Relaxed);
-        self.metrics.shard_restarts.inc();
         self.metrics.events().emit(
             EventCode::ShardRestart,
             Severity::Warn,
@@ -773,6 +771,12 @@ impl Supervisor {
             generation,
         );
         self.incidents.on_shard_restart();
+        // The counters go last: whoever observes the new restart count
+        // also finds the journal event and the incident capture.
+        self.metrics.shard_restarts.inc();
+        // ordering: Release pairs with `restart_count`'s Acquire load,
+        // publishing the event emit and incident capture above.
+        slot.restarts.fetch_add(1, Ordering::Release);
     }
 
     /// Re-queues every delayed retry whose backoff has elapsed. A push

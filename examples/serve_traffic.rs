@@ -640,7 +640,9 @@ fn main() {
     // --- 1. Dynamic batching, tuned for the closed-loop client count ----
     // max_batch of half the clients: with pipelined dispatch one batch
     // coalesces while another executes, so the engine never idles
-    // waiting for the full client cohort to resubmit.
+    // waiting for the full client cohort to resubmit. The batcher only
+    // holds a batch open (up to max_wait) while the engine is busy; an
+    // idle engine takes whatever is queued at once.
     let server = Arc::new(Server::start(
         build_engine(),
         ServeConfig {

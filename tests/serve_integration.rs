@@ -13,7 +13,7 @@ use pcnn::serve::{
 use pcnn::tensor::Tensor;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn random_tensor(shape: &[usize], seed: u64) -> Tensor {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -620,4 +620,51 @@ fn lifecycle_priorities_and_shutdown_accounting() {
     assert_eq!(report.completed, 10);
     assert_eq!(report.aborted, 0);
     assert_eq!(report.rejected_at_shutdown, 0);
+}
+
+/// Work-conserving coalescing end to end: a lone request to an idle
+/// server dispatches at once instead of holding its batch open for
+/// `max_wait`, and its span shows a coalesce segment far below the
+/// window.
+#[test]
+fn idle_server_dispatches_a_lone_request_without_waiting_out_max_wait() {
+    let max_wait = Duration::from_millis(500);
+    let engine = Engine::new(compile_dense(&models::tiny_cnn(4, 4, 17)), 2);
+    let server = Server::start(
+        engine,
+        ServeConfig {
+            max_wait,
+            trace: TraceConfig {
+                sample_every: 1,
+                ring_capacity: 16,
+            },
+            ..ServeConfig::default()
+        },
+    );
+    let x = random_tensor(&[1, 3, 8, 8], 900);
+    let want = server.engine().infer(&x);
+    let t0 = Instant::now();
+    let ticket = server.submit(x).expect("admitted");
+    let id = ticket.request_id();
+    let got = ticket.wait().expect("served");
+    let elapsed = t0.elapsed();
+    pcnn::tensor::assert_slices_close(got.as_slice(), want.as_slice(), 1e-5);
+    assert!(
+        elapsed < max_wait / 2,
+        "an idle server must not hold a lone request for {max_wait:?} (took {elapsed:?})"
+    );
+    let span = server
+        .flight_recorder()
+        .spans()
+        .into_iter()
+        .find(|s| s.id == id)
+        .expect("the request's span is recorded before its ticket resolves");
+    assert_eq!(span.batch_len, 1);
+    let coalesce = Duration::from_nanos(span.coalesced_ns - span.dequeued_ns);
+    assert!(
+        coalesce < max_wait / 10,
+        "coalesce segment {coalesce:?} must be far below max_wait {max_wait:?}"
+    );
+    let report = server.shutdown(ShutdownMode::Drain);
+    assert_eq!(report.completed, 1);
 }
